@@ -470,7 +470,7 @@ crash-smoke:
 # trace-smoke proves cross-process span stitching end to end: a live
 # coordinator + 2 worker processes run a sharded traced run, and the
 # coordinator's /runs/{id}/spans tree must contain the workers' spans
-# (worker.step / worker.step_batch / worker.holdout, shipped back over
+# (worker.step_batch / worker.holdout, shipped back over
 # HTTP and re-parented via traceparent) strictly underneath the
 # coordinator's dist.* rpc spans, which in turn hang off the engine's
 # batch spans. Also checks per-shard cost cells and the chrome export.

@@ -102,10 +102,11 @@ func oracleUseful(in *corpus.Input, f featurepipe.FeatureFunc) bool {
 	return in.Truth.Class == 1
 }
 
-// loop is the shared inner loop: one iteration per processed input.
-// Cancellation is checked once per step; a cancelled loop returns the
-// partial result accumulated so far (never an error), skipping the final
-// re-evaluation so cancellation latency is one step, not one holdout pass.
+// loop is the shared inner loop: one iteration per arm pull, executing a
+// batch of up to BatchSize inputs (one at K=1). Cancellation is checked
+// once per batch; a cancelled loop returns the partial result accumulated
+// so far (never an error), skipping the final re-evaluation so
+// cancellation latency is one batch, not one holdout pass.
 func (e *Engine) loop(ctx context.Context, task *featurepipe.Task, src inputSource, r *rng.RNG, exec Executor) (*RunResult, error) {
 	wallStart := time.Now()
 	// Phase accounting is always on: the timers cost a few time.Now calls
@@ -246,24 +247,17 @@ func (e *Engine) loop(ctx context.Context, task *featurepipe.Task, src inputSour
 	}
 
 	// The loop processes inputs in batches of up to BatchSize per arm pull
-	// (K=1, the default, is the classic per-step bandit; its decision
-	// stream — and therefore its output — is byte-identical to the
-	// pre-batching loop). Per-batch scratch is allocated once and reused:
-	// the inner loop must not pay an allocation per processed input.
+	// (K=1, the default, is the classic per-step bandit: a batch of one).
+	// Per-batch scratch, the executor's outcome slices included, is
+	// allocated once and reused: the inner loop must not pay an allocation
+	// per processed input.
 	deltaBased := e.cfg.Reward != RewardUsefulness
-	batchExec, _ := exec.(BatchExecutor)
 	batchCap := e.cfg.BatchSize
 	rewards := make([]float64, 0, batchCap)
 	errMsgs := make([]string, 0, batchCap)
 	simAt := make([]time.Duration, 0, batchCap)
-	var outs []StepOutcome
-	var errs []error
-	var out1 [1]StepOutcome // K=1 fast path: no per-step slice allocation
-	var err1 [1]error
-	if batchExec == nil && batchCap > 1 {
-		outs = make([]StepOutcome, 0, batchCap)
-		errs = make([]error, 0, batchCap)
-	}
+	outBuf := make([]StepOutcome, batchCap)
+	errBuf := make([]error, batchCap)
 
 	// endBatch closes a batch span with the arm and the per-phase wall
 	// deltas this batch contributed — the attrs the cost summary
@@ -344,24 +338,9 @@ loop:
 		// The selected arm may hold fewer than k inputs; the short batch
 		// still trains and evaluates normally (see TestPartialBatch).
 		batchStart := steps
+		outs, errs := outBuf[:len(idxs)], errBuf[:len(idxs)]
 		tStep := time.Now()
-		switch {
-		case len(idxs) == 1:
-			// Single-input batches dispatch through ExecuteStep so a K=1
-			// run issues exactly the calls (and, distributed, the RPCs)
-			// the pre-batching loop issued.
-			out1[0], err1[0] = exec.ExecuteStep(stepCtx, steps+1, idxs[0])
-			outs, errs = out1[:], err1[:]
-		case batchExec != nil:
-			outs, errs = batchExec.ExecuteBatch(stepCtx, steps+1, idxs)
-		default:
-			outs, errs = outs[:0], errs[:0]
-			for j, idx := range idxs {
-				out, err := exec.ExecuteStep(stepCtx, steps+1+j, idx)
-				outs = append(outs, out)
-				errs = append(errs, err)
-			}
-		}
+		exec.ExecuteBatch(stepCtx, steps+1, idxs, outs, errs)
 		batchWall := time.Since(tStep)
 
 		// Pass 1 — account and train, in input order. Failures quarantine
@@ -370,12 +349,10 @@ loop:
 		// quarantines by store index; a feature-code panic quarantines by
 		// input ID. Delta-based rewards bracket the whole batch with one
 		// before/after measurement of the reward holdout — the batch-train
-		// amortization — which at K=1 degenerates to the exact per-input
-		// bracket the loop always used.
+		// amortization — which at K=1 is the classic per-input bracket.
 		rewards, errMsgs, simAt = rewards[:0], errMsgs[:0], simAt[:0]
 		var before float64
-		beforeDone := false
-		trained := 0         // produced examples trained this batch
+		bracketed := false   // the batch's "before" is measured
 		advanced := false    // any input reached the extract stage
 		quarantined := false // any input quarantined this batch
 		var workNanos int64  // worker-side read+extract time, for rpc split
@@ -436,20 +413,16 @@ loop:
 					res.Useful++
 				}
 				tTrain := time.Now()
-				if deltaBased {
-					// rewards[j] temporarily holds the usefulness bit; the
-					// shared batch delta folds in after the batch trains.
-					if !beforeDone {
-						before = rewardHold.Quality(model)
-						beforeDone = true
-					}
-					model.PartialFit(out.Res.Example)
-					trained++
-					if out.Res.Useful {
-						rewards[j] = 1
-					}
-				} else {
-					rewards[j] = e.rewardFor(out.Res, model, rewardHold)
+				if deltaBased && !bracketed {
+					before = rewardHold.Quality(model)
+					bracketed = true
+				}
+				model.PartialFit(out.Res.Example)
+				// The usefulness bit: the whole reward under
+				// RewardUsefulness; delta-based rewards fold the shared
+				// batch delta into it in pass 2.
+				if out.Res.Useful {
+					rewards[j] = 1
 				}
 				dTrain := time.Since(tTrain)
 				phases.Train += dTrain
@@ -475,7 +448,7 @@ loop:
 
 		// Pass 2 — close the delta-reward bracket: one "after" measurement
 		// for the whole batch; every produced input shares the batch delta.
-		if deltaBased && trained > 0 {
+		if bracketed {
 			tTrain := time.Now()
 			after := rewardHold.Quality(model)
 			delta := clamp01((after - before) * e.cfg.RewardScale)
@@ -589,36 +562,6 @@ func (e *Engine) quality(h *learner.Holdout, m learner.Model) float64 {
 		return h.QualityParallel(m, e.cfg.EvalWorkers)
 	}
 	return h.Quality(m)
-}
-
-// rewardFor computes the configured reward for a produced example. For
-// delta-based rewards, the model is trained inside this function (the
-// before/after measurement brackets the update); for pure usefulness the
-// model is trained here too, keeping the call site uniform.
-func (e *Engine) rewardFor(extRes featurepipe.Result, model learner.Model, rewardHold *learner.Holdout) float64 {
-	switch e.cfg.Reward {
-	case RewardUsefulness:
-		model.PartialFit(extRes.Example)
-		if extRes.Useful {
-			return 1
-		}
-		return 0
-	case RewardQualityDelta:
-		before := rewardHold.Quality(model)
-		model.PartialFit(extRes.Example)
-		after := rewardHold.Quality(model)
-		return clamp01((after - before) * e.cfg.RewardScale)
-	default: // RewardHybrid
-		before := rewardHold.Quality(model)
-		model.PartialFit(extRes.Example)
-		after := rewardHold.Quality(model)
-		delta := clamp01((after - before) * e.cfg.RewardScale)
-		useful := 0.0
-		if extRes.Useful {
-			useful = 1
-		}
-		return 0.5*useful + 0.5*delta
-	}
 }
 
 func clamp01(x float64) float64 {

@@ -30,34 +30,25 @@ type Executor interface {
 	// zero examples survive. Implementations must preserve the global
 	// HoldoutIdx order for both examples and skips.
 	BuildHoldout(ctx context.Context) (*learner.Holdout, []featurepipe.HoldoutSkip, error)
-	// ExecuteStep reads input idx from the corpus and extracts it, with
-	// the same isolation contract as the in-process loop: a failed read is
+	// ExecuteBatch reads and extracts the inputs at store indices idxs;
+	// firstStep is the loop's step counter for idxs[0] (idxs[j] runs as
+	// step firstStep+j). K=1 is simply a batch of one. The caller owns outs
+	// and errs (both len(idxs)) and reuses them across batches, so the
+	// executor must write every outs[j] and errs[j] — the zero StepOutcome
+	// when input j failed, because the loop reads outs[j].Res even when
+	// errs[j] != nil.
+	//
+	// The isolation contract is the in-process loop's: a failed read is
 	// reported in StepOutcome.ReadErr, a failed or panicked extraction in
-	// ExtractErr/Panicked — none of them are errors. A non-nil error means
-	// the step could not be executed at all (a dead worker, a transport
-	// failure after retries); the loop quarantines the input and charges
-	// the arm, so infrastructure loss degrades exactly like data loss.
-	ExecuteStep(ctx context.Context, step, idx int) (StepOutcome, error)
+	// ExtractErr/Panicked — none of them are errors. A non-nil errs[j]
+	// means input j could not be executed at all (a dead worker, a
+	// transport failure after retries); the loop quarantines the input and
+	// charges the arm, so infrastructure loss degrades exactly like data
+	// loss. A per-input failure must not poison the rest of the batch.
+	ExecuteBatch(ctx context.Context, firstStep int, idxs []int, outs []StepOutcome, errs []error)
 	// Stats reports execution-side tallies after the loop finishes. It is
-	// called once, after the last step.
+	// called once, after the last batch.
 	Stats() ExecutorStats
-}
-
-// BatchExecutor is an Executor that can execute a whole batch of steps in
-// one call — the seam the batched bandit loop (Config.BatchSize > 1) uses
-// to amortize per-input dispatch, and the distributed coordinator
-// implements with one StepBatch RPC per owning worker instead of one Step
-// RPC per input. Executors that don't implement it still work at any K:
-// the loop falls back to per-input ExecuteStep calls.
-type BatchExecutor interface {
-	Executor
-	// ExecuteBatch executes the inputs at store indices idxs; firstStep is
-	// the loop's step counter for idxs[0] (idxs[j] runs as step
-	// firstStep+j). Outcomes and errors are positional: outs[j]/errs[j]
-	// belong to idxs[j], with errs[j] non-nil exactly when ExecuteStep
-	// would have returned an error for that input — a per-input failure
-	// must not poison the rest of the batch. Both slices have len(idxs).
-	ExecuteBatch(ctx context.Context, firstStep int, idxs []int) (outs []StepOutcome, errs []error)
 }
 
 // StepOutcome is everything the loop needs back from executing one input.
@@ -135,47 +126,41 @@ func (x *LocalExecutor) BuildHoldout(context.Context) (*learner.Holdout, []featu
 	return x.task.BuildHoldoutTolerant()
 }
 
-func (x *LocalExecutor) ExecuteStep(_ context.Context, _, idx int) (StepOutcome, error) {
-	var out StepOutcome
-	tRead := time.Now()
-	in, readErr := ReadStoreInput(x.task.Store, idx, x.faults)
-	out.ReadNanos = time.Since(tRead).Nanoseconds()
-	if readErr != nil {
-		out.ReadErr = readErr.Error()
-		return out, nil
-	}
-	out.InputID = in.ID
-	out.Cost = x.task.Cost.Cost(in)
-	var hitsBefore int64
-	if x.ctrs != nil {
-		hitsBefore = x.ctrs.Hits.Load()
-	}
-	tExtract := time.Now()
-	res, extErr, panicked := SafeExtract(x.task.Feature, in)
-	out.ExtractNanos = time.Since(tExtract).Nanoseconds()
-	out.Res = res
-	out.Panicked = panicked
-	if extErr != nil {
-		out.ExtractErr = extErr.Error()
-	}
-	// The executor is the only goroutine touching its counters, so a hit
-	// delta across the extract call attributes cleanly to this step
-	// (composite features may hit on several parts; any counts).
-	out.CacheHit = x.ctrs != nil && x.ctrs.Hits.Load() > hitsBefore
-	return out, nil
-}
-
-// ExecuteBatch implements BatchExecutor by executing the inputs in order
-// through ExecuteStep. In-process there is nothing to amortize at the
-// dispatch layer — the batching win for local runs comes from the loop's
-// amortized selection, evaluation and reward accounting.
-func (x *LocalExecutor) ExecuteBatch(ctx context.Context, firstStep int, idxs []int) ([]StepOutcome, []error) {
-	outs := make([]StepOutcome, len(idxs))
-	errs := make([]error, len(idxs))
+// ExecuteBatch executes the inputs in order. In-process there is nothing
+// to amortize at the dispatch layer — the batching win for local runs
+// comes from the loop's amortized selection, evaluation and reward
+// accounting — and no step number matters, so firstStep is unused.
+func (x *LocalExecutor) ExecuteBatch(_ context.Context, _ int, idxs []int, outs []StepOutcome, errs []error) {
 	for j, idx := range idxs {
-		outs[j], errs[j] = x.ExecuteStep(ctx, firstStep+j, idx)
+		errs[j] = nil
+		out := &outs[j]
+		*out = StepOutcome{}
+		tRead := time.Now()
+		in, readErr := ReadStoreInput(x.task.Store, idx, x.faults)
+		out.ReadNanos = time.Since(tRead).Nanoseconds()
+		if readErr != nil {
+			out.ReadErr = readErr.Error()
+			continue
+		}
+		out.InputID = in.ID
+		out.Cost = x.task.Cost.Cost(in)
+		var hitsBefore int64
+		if x.ctrs != nil {
+			hitsBefore = x.ctrs.Hits.Load()
+		}
+		tExtract := time.Now()
+		res, extErr, panicked := SafeExtract(x.task.Feature, in)
+		out.ExtractNanos = time.Since(tExtract).Nanoseconds()
+		out.Res = res
+		out.Panicked = panicked
+		if extErr != nil {
+			out.ExtractErr = extErr.Error()
+		}
+		// The executor is the only goroutine touching its counters, so a
+		// hit delta across the extract call attributes cleanly to this
+		// input (composite features may hit on several parts; any counts).
+		out.CacheHit = x.ctrs != nil && x.ctrs.Hits.Load() > hitsBefore
 	}
-	return outs, errs
 }
 
 func (x *LocalExecutor) Stats() ExecutorStats {

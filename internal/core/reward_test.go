@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"math"
+	"strconv"
 	"testing"
 
 	"zombie/internal/corpus"
 	"zombie/internal/featurepipe"
+	"zombie/internal/index"
 	"zombie/internal/learner"
 	"zombie/internal/rng"
 )
@@ -31,22 +34,96 @@ func fixedHoldout() *learner.Holdout {
 	return learner.NewHoldout(exs, learner.MetricAccuracy, 1)
 }
 
+// scriptExec is an Executor serving a fixed script of extraction results
+// by step number over a fixed holdout: the reward tests' handle on the
+// loop's batch bracket. At K=1 every step is its own bracket, and the step
+// events report the reward the loop computed for it.
+type scriptExec struct {
+	hold   *learner.Holdout
+	script []featurepipe.Result
+}
+
+func (x *scriptExec) BuildHoldout(context.Context) (*learner.Holdout, []featurepipe.HoldoutSkip, error) {
+	return x.hold, nil, nil
+}
+
+func (x *scriptExec) ExecuteBatch(_ context.Context, firstStep int, idxs []int, outs []StepOutcome, errs []error) {
+	for j := range idxs {
+		outs[j] = StepOutcome{InputID: strconv.Itoa(firstStep + j), Res: x.script[firstStep+j-1]}
+		errs[j] = nil
+	}
+}
+
+func (x *scriptExec) Stats() ExecutorStats { return ExecutorStats{} }
+
+// runScript runs the loop at K=1 over script (one step per result, against
+// fixedHoldout and a 1-D GaussianNB learner) and returns each step's
+// reward and the loop's training model.
+func runScript(t *testing.T, cfg Config, script []featurepipe.Result) (rewards []float64, model learner.Model) {
+	t.Helper()
+	ins := make([]*corpus.Input, len(script))
+	pool := make([]int, len(script))
+	for i := range ins {
+		ins[i] = &corpus.Input{ID: strconv.Itoa(i)}
+		pool[i] = i
+	}
+	task := &featurepipe.Task{
+		Name:    "script",
+		Store:   corpus.NewMemStore(ins),
+		Feature: featurepipe.NewWikiFeature(1),
+		NewModel: func(featurepipe.FeatureFunc) learner.Model {
+			m := learner.NewGaussianNB(1, 2, 1e-3)
+			if model == nil { // the loop builds its training model first
+				model = m
+			}
+			return m
+		},
+		Metric:   learner.MetricAccuracy,
+		Positive: 1,
+		PoolIdx:  pool,
+	}
+	groups := &index.Groups{Members: [][]int{pool}, Assign: make([]int, len(script))}
+	cfg.MaxInputs, cfg.TraceEvents = len(script), true
+	res, err := mustEngine(t, cfg).RunWithExecutor(context.Background(), task, groups,
+		&scriptExec{hold: fixedHoldout(), script: script})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range res.Events.Events {
+		rewards = append(rewards, ev.Reward)
+	}
+	if len(rewards) != len(script) {
+		t.Fatalf("%d step events for a %d-step script", len(rewards), len(script))
+	}
+	return rewards, model
+}
+
+// example is a produced 1-D extraction result.
+func example(x float64, class int, useful bool) featurepipe.Result {
+	return featurepipe.Result{
+		Example:  learner.Example{Features: learner.DenseVec([]float64{x}), Class: class},
+		Produced: true, Useful: useful,
+	}
+}
+
+// saturating returns 2n examples that train the model to perfection on
+// fixedHoldout.
+func saturating(n int) []featurepipe.Result {
+	var script []featurepipe.Result
+	for i := 0; i < n; i++ {
+		script = append(script, example(-1, 0, false), example(1, 1, false))
+	}
+	return script
+}
+
 func TestRewardUsefulnessValues(t *testing.T) {
-	e := mustEngine(t, Config{Reward: RewardUsefulness})
-	model := learner.NewGaussianNB(1, 2, 1e-3)
-	useful := featurepipe.Result{
-		Example:  learner.Example{Features: learner.DenseVec([]float64{1}), Class: 1},
-		Produced: true, Useful: true,
+	rewards, model := runScript(t, Config{Reward: RewardUsefulness},
+		[]featurepipe.Result{example(1, 1, true), example(-1, 0, false)})
+	if rewards[0] != 1 {
+		t.Fatalf("useful reward = %v", rewards[0])
 	}
-	useless := featurepipe.Result{
-		Example:  learner.Example{Features: learner.DenseVec([]float64{-1}), Class: 0},
-		Produced: true, Useful: false,
-	}
-	if got := e.rewardFor(useful, model, nil); got != 1 {
-		t.Fatalf("useful reward = %v", got)
-	}
-	if got := e.rewardFor(useless, model, nil); got != 0 {
-		t.Fatalf("useless reward = %v", got)
+	if rewards[1] != 0 {
+		t.Fatalf("useless reward = %v", rewards[1])
 	}
 	if model.Seen() != 2 {
 		t.Fatalf("model not trained by reward path: seen=%d", model.Seen())
@@ -54,62 +131,47 @@ func TestRewardUsefulnessValues(t *testing.T) {
 }
 
 func TestRewardQualityDeltaPaysForImprovement(t *testing.T) {
-	e := mustEngine(t, Config{Reward: RewardQualityDelta, RewardScale: 10})
+	// Seed the model so quality is defined, with one example per class —
+	// class 1's on the wrong side, so the good example must help. Scale 2
+	// keeps the expected reward off both clamp bounds and off the
+	// usefulness bit.
+	seed := []featurepipe.Result{example(-1, 0, false), example(-1.2, 1, false)}
+	good := example(1.2, 1, true)
+	rewards, _ := runScript(t, Config{Reward: RewardQualityDelta, RewardScale: 2},
+		append(seed, good))
+
 	hold := fixedHoldout()
-	model := learner.NewGaussianNB(1, 2, 1e-3)
-	// Seed the model so quality is defined, with one example per class.
-	model.PartialFit(learner.Example{Features: learner.DenseVec([]float64{-1}), Class: 0})
-	model.PartialFit(learner.Example{Features: learner.DenseVec([]float64{-0.5}), Class: 1}) // wrong side
-	before := hold.Quality(model)
-	good := featurepipe.Result{
-		Example:  learner.Example{Features: learner.DenseVec([]float64{1.2}), Class: 1},
-		Produced: true, Useful: true,
+	replica := learner.NewGaussianNB(1, 2, 1e-3)
+	for _, r := range seed {
+		replica.PartialFit(r.Example)
 	}
-	reward := e.rewardFor(good, model, hold)
-	after := hold.Quality(model)
+	before := hold.Quality(replica)
+	replica.PartialFit(good.Example)
+	after := hold.Quality(replica)
 	if after <= before {
-		t.Skip("model did not improve on this seed; delta semantics untestable here")
+		t.Fatalf("fixture no longer improves the model (%v -> %v)", before, after)
 	}
-	want := clamp01((after - before) * 10)
-	if math.Abs(reward-want) > 1e-12 {
-		t.Fatalf("delta reward = %v, want %v", reward, want)
+	want := clamp01((after - before) * 2)
+	if got := rewards[len(seed)]; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("delta reward = %v, want %v", got, want)
 	}
 }
 
 func TestRewardQualityDeltaNeverNegative(t *testing.T) {
-	e := mustEngine(t, Config{Reward: RewardQualityDelta})
-	hold := fixedHoldout()
-	model := learner.NewGaussianNB(1, 2, 1e-3)
-	// Train to perfection first.
-	for i := 0; i < 10; i++ {
-		model.PartialFit(learner.Example{Features: learner.DenseVec([]float64{-1}), Class: 0})
-		model.PartialFit(learner.Example{Features: learner.DenseVec([]float64{1}), Class: 1})
-	}
-	// A mislabeled example can only hurt quality; reward must clamp at 0.
-	bad := featurepipe.Result{
-		Example:  learner.Example{Features: learner.DenseVec([]float64{1}), Class: 0},
-		Produced: true,
-	}
-	if got := e.rewardFor(bad, model, hold); got != 0 {
+	// Train to perfection first; a mislabeled example can then only hurt
+	// quality, and the reward must clamp at 0.
+	script := append(saturating(10), example(1, 0, false))
+	rewards, _ := runScript(t, Config{Reward: RewardQualityDelta}, script)
+	if got := rewards[len(script)-1]; got != 0 {
 		t.Fatalf("harmful example earned reward %v", got)
 	}
 }
 
 func TestRewardHybridAverages(t *testing.T) {
-	e := mustEngine(t, Config{Reward: RewardHybrid, RewardScale: 10})
-	hold := fixedHoldout()
 	// Saturated model: delta is 0, so hybrid = 0.5*useful.
-	model := learner.NewGaussianNB(1, 2, 1e-3)
-	for i := 0; i < 20; i++ {
-		model.PartialFit(learner.Example{Features: learner.DenseVec([]float64{-1}), Class: 0})
-		model.PartialFit(learner.Example{Features: learner.DenseVec([]float64{1}), Class: 1})
-	}
-	useful := featurepipe.Result{
-		Example:  learner.Example{Features: learner.DenseVec([]float64{1}), Class: 1},
-		Produced: true, Useful: true,
-	}
-	got := e.rewardFor(useful, model, hold)
-	if math.Abs(got-0.5) > 1e-9 {
+	script := append(saturating(20), example(1, 1, true))
+	rewards, _ := runScript(t, Config{Reward: RewardHybrid, RewardScale: 10}, script)
+	if got := rewards[len(script)-1]; math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("hybrid reward on saturated model = %v, want 0.5", got)
 	}
 }

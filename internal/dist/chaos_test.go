@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 )
 
 // deadWorkerSeed scans fault seeds for one where, under the given spec,
-// worker w1 fails every step and w0 none — fault decisions are pure
+// worker w1 fails every step call and w0 none — fault decisions are pure
 // hashes of (seed, site, id), so the scan is deterministic and cheap.
 func deadWorkerSeed(t *testing.T, spec string) int64 {
 	t.Helper()
@@ -32,88 +33,91 @@ func deadWorkerSeed(t *testing.T, spec string) int64 {
 }
 
 // TestDeadWorkerTripsFailureBudget kills one of two workers mid-run (an
-// error rule at dist.step makes every step routed to w1 fail, surviving
-// the coordinator's retries) and asserts the run degrades exactly like a
-// single-process run over a half-broken corpus: StopFailed once the
-// failure budget trips, with the partial merged curve intact — and that
-// the local and http transports fail byte-identically.
+// error rule at dist.step makes every step call routed to w1 fail,
+// surviving the coordinator's retries) and asserts the run degrades
+// exactly like a single-process run over a half-broken corpus: StopFailed
+// once the failure budget trips, with the partial merged curve intact —
+// and that the local and http transports fail byte-identically. The gate
+// fires once per call, so retry-then-quarantine holds at every K.
 func TestDeadWorkerTripsFailureBudget(t *testing.T) {
 	const spec = "dist.step:err=0.5"
 	const seed, maxInputs, shards = 11, 80, 2
 	fseed := deadWorkerSeed(t, spec)
 	store, task, groups := testSetup(t, 160, seed)
-	eng, err := core.New(core.Config{Seed: seed, MaxInputs: maxInputs, MaxFailureFrac: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	dspec := Spec{
-		RunID: "t-chaos", Task: "wiki", Seed: seed, Shards: shards,
-		FaultSpec: spec, FaultSeed: fseed,
-		Attempts: 2, Backoff: time.Millisecond,
-		Obs: reg,
-	}
-
-	local := NewLocalTransport(store, shards, nil, nil)
-	defer local.Close()
-	lres, err := Run(context.Background(), eng, local, dspec, task, groups)
-	if err != nil {
-		t.Fatalf("local faulted run should degrade, not error: %v", err)
-	}
-	if lres.Stop != core.StopFailed {
-		t.Fatalf("Stop = %v, want StopFailed with a dead worker and budget 0.25", lres.Stop)
-	}
-	if len(lres.Curve) == 0 {
-		t.Fatal("StopFailed run lost its partial curve")
-	}
-	if lres.InputsProcessed >= maxInputs {
-		t.Fatalf("processed all %d inputs; budget never tripped", maxInputs)
-	}
-	if len(lres.Quarantined) == 0 {
-		t.Fatal("dead worker produced no quarantine entries")
-	}
-	for _, q := range lres.Quarantined {
-		if q.Site != string(fault.SiteDistStep) {
-			t.Fatalf("quarantine site %q, want %q", q.Site, fault.SiteDistStep)
+	for _, batch := range []int{1, 8} {
+		eng, err := core.New(core.Config{Seed: seed, MaxInputs: maxInputs, MaxFailureFrac: 0.25, BatchSize: batch})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(q.Reason, "injected error at dist.step on w1") {
-			t.Fatalf("quarantine reason %q does not name the dead worker", q.Reason)
+		reg := obs.NewRegistry()
+		dspec := Spec{
+			RunID: "t-chaos", Task: "wiki", Seed: seed, Shards: shards,
+			FaultSpec: spec, FaultSeed: fseed,
+			Attempts: 2, Backoff: time.Millisecond,
+			Obs: reg,
 		}
-	}
-	// The coordinator retried the dead worker before quarantining: every
-	// failed step burned Attempts calls on shard 1 and none on shard 0.
-	if lres.Workers[1].FailedCalls == 0 || lres.Workers[1].RetriedCalls == 0 {
-		t.Fatalf("worker 1 stats %+v record no failures", lres.Workers[1])
-	}
-	if lres.Workers[0].FailedCalls != 0 {
-		t.Fatalf("healthy worker 0 stats %+v record failures", lres.Workers[0])
-	}
-	// The error counters carry both dimensions in the Prometheus
-	// exposition: the dead worker's step failures appear as one
-	// {method,worker} series, and the healthy worker exports none.
-	var prom strings.Builder
-	if err := reg.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(prom.String(), `dist_rpc_errors{method="step",worker="1"}`) {
-		t.Fatalf("exposition missing labeled error counter:\n%s", prom.String())
-	}
-	if strings.Contains(prom.String(), `worker="0"`) {
-		t.Fatalf("healthy worker exported an error series:\n%s", prom.String())
-	}
-	if got := reg.FlatSnapshot()["dist_rpc_errors_step_1"]; got == 0 {
-		t.Fatal("flat exposition missing folded dist_rpc_errors_step_1 key")
-	}
 
-	httpT := newHTTPTestTransport(t, store, shards)
-	defer httpT.Close()
-	hres, err := Run(context.Background(), eng, httpT, dspec, task, groups)
-	if err != nil {
-		t.Fatalf("http faulted run should degrade, not error: %v", err)
+		local := NewLocalTransport(store, shards, nil, nil)
+		lres, err := Run(context.Background(), eng, local, dspec, task, groups)
+		local.Close()
+		if err != nil {
+			t.Fatalf("K=%d: local faulted run should degrade, not error: %v", batch, err)
+		}
+		if lres.Stop != core.StopFailed {
+			t.Fatalf("K=%d: Stop = %v, want StopFailed with a dead worker and budget 0.25", batch, lres.Stop)
+		}
+		if len(lres.Curve) == 0 {
+			t.Fatalf("K=%d: StopFailed run lost its partial curve", batch)
+		}
+		if lres.InputsProcessed >= maxInputs {
+			t.Fatalf("K=%d: processed all %d inputs; budget never tripped", batch, maxInputs)
+		}
+		if len(lres.Quarantined) == 0 {
+			t.Fatalf("K=%d: dead worker produced no quarantine entries", batch)
+		}
+		for _, q := range lres.Quarantined {
+			if q.Site != string(fault.SiteDistStep) {
+				t.Fatalf("K=%d: quarantine site %q, want %q", batch, q.Site, fault.SiteDistStep)
+			}
+			if !strings.Contains(q.Reason, "injected error at dist.step on w1") {
+				t.Fatalf("K=%d: quarantine reason %q does not name the dead worker", batch, q.Reason)
+			}
+		}
+		// The coordinator retried the dead worker before quarantining: every
+		// failed call burned Attempts calls on shard 1 and none on shard 0.
+		if lres.Workers[1].FailedCalls == 0 || lres.Workers[1].RetriedCalls == 0 {
+			t.Fatalf("K=%d: worker 1 stats %+v record no failures", batch, lres.Workers[1])
+		}
+		if lres.Workers[0].FailedCalls != 0 {
+			t.Fatalf("K=%d: healthy worker 0 stats %+v record failures", batch, lres.Workers[0])
+		}
+		// The error counters carry both dimensions in the Prometheus
+		// exposition: the dead worker's step failures appear as one
+		// {method,worker} series, and the healthy worker exports none.
+		var prom strings.Builder
+		if err := reg.WritePrometheus(&prom); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(prom.String(), `dist_rpc_errors{method="step-batch",worker="1"}`) {
+			t.Fatalf("K=%d: exposition missing labeled error counter:\n%s", batch, prom.String())
+		}
+		if strings.Contains(prom.String(), `worker="0"`) {
+			t.Fatalf("K=%d: healthy worker exported an error series:\n%s", batch, prom.String())
+		}
+		if got := reg.FlatSnapshot()["dist_rpc_errors_step-batch_1"]; got == 0 {
+			t.Fatalf("K=%d: flat exposition missing folded dist_rpc_errors_step-batch_1 key", batch)
+		}
+
+		httpT := newHTTPTestTransport(t, store, shards)
+		hres, err := Run(context.Background(), eng, httpT, dspec, task, groups)
+		httpT.Close()
+		if err != nil {
+			t.Fatalf("K=%d: http faulted run should degrade, not error: %v", batch, err)
+		}
+		// Same curve, same quarantine list, same stop — the whole RunResult,
+		// failure messages included, must not depend on the transport.
+		assertSameRun(t, fmt.Sprintf("K=%d http-vs-local chaos", batch), lres.RunResult, hres.RunResult)
 	}
-	// Same curve, same quarantine list, same stop — the whole RunResult,
-	// failure messages included, must not depend on the transport.
-	assertSameRun(t, "http-vs-local chaos", lres.RunResult, hres.RunResult)
 }
 
 // TestLatencyInjectionPreservesBytes stalls every step on both workers

@@ -93,7 +93,7 @@ type Result struct {
 
 // Run executes one distributed run: initialize every worker's shard view,
 // then drive eng's unchanged loop with a coordinator executor that routes
-// each step to the owning worker. task and groups are the coordinator's
+// each batch to the owning workers. task and groups are the coordinator's
 // own (unwrapped) task and index groups — identical to what a
 // single-process run would use, which is what makes the curves
 // comparable byte-for-byte.
@@ -155,7 +155,7 @@ func newCoordinator(tr Transport, spec Spec, task *featurepipe.Task) (*coordinat
 	c := &coordinator{spec: spec, clients: clients, task: task, sm: sm, rpc: map[string]*obs.Histogram{}}
 	if spec.Obs != nil {
 		const name, help = "dist_rpc_seconds", "Coordinator-side worker call latency by method."
-		for _, method := range []string{"init", "holdout", "step", "step-batch", "finish"} {
+		for _, method := range []string{"init", "holdout", "step-batch", "finish"} {
 			c.rpc[method] = spec.Obs.HistogramL(name, help, "method", method, obs.LatencyBuckets)
 		}
 	}
@@ -337,60 +337,22 @@ func (c *coordinator) BuildHoldout(ctx context.Context) (*learner.Holdout, []fea
 	return learner.NewHoldout(examples, c.task.Metric, c.task.Positive), skips, nil
 }
 
-// ExecuteStep routes the step to the worker owning idx. A call that still
-// fails after the retry budget comes back as an error; the engine loop
-// quarantines the input and charges the arm, so a dead worker degrades
-// exactly like a corrupt shard and eventually trips the failure budget.
-func (c *coordinator) ExecuteStep(ctx context.Context, step, idx int) (core.StepOutcome, error) {
-	owner := c.sm.Owner(idx)
-	if owner < 0 {
-		return core.StepOutcome{}, fmt.Errorf("dist: step %d: input %d outside the shard map", step, idx)
-	}
-	tr, ref := c.startRPC(ctx, "dist.step", owner)
-	req := StepRequest{RunID: c.spec.RunID, Step: step, Idx: idx, Traceparent: tr.Traceparent(ref.ID())}
-	var resp StepResponse
-	err := c.withRetry(ctx, "step", owner, func(ctx context.Context) error {
-		r, err := c.clients[owner].Step(ctx, req)
-		if err == nil {
-			resp = r
-		}
-		return err
-	})
-	tr.Import(resp.Spans, ref.ID(), ref.ID())
-	ref.End()
-	if err != nil {
-		return core.StepOutcome{}, fmt.Errorf("dist: worker %d failed step %d (input %d): %v", owner, step, idx, err)
-	}
-	c.workers[owner].Steps++
-	return core.StepOutcome{
-		InputID:      resp.InputID,
-		ReadErr:      resp.ReadErr,
-		Cost:         time.Duration(resp.CostNanos),
-		Res:          resp.Result,
-		ExtractErr:   resp.ExtractErr,
-		Panicked:     resp.Panicked,
-		CacheHit:     resp.CacheHit,
-		ReadNanos:    resp.ReadNanos,
-		ExtractNanos: resp.ExtractNanos,
-	}, nil
-}
-
-// ExecuteBatch implements core.BatchExecutor: group the batch by owning
-// shard and send ONE StepBatch per shard — for a batch of K inputs over S
-// shards that is at most min(K, S) round trips instead of K, which is the
-// distributed payoff of Config.BatchSize. Shard calls run concurrently
-// (like real workers serving independent requests); outcomes are
-// reassembled positionally, so the engine sees exactly what K per-item
-// ExecuteStep calls would have produced. A shard whose whole call fails
-// after retries errors each of its items — infrastructure loss degrades
-// per input, exactly like the per-item path.
-func (c *coordinator) ExecuteBatch(ctx context.Context, firstStep int, idxs []int) ([]core.StepOutcome, []error) {
-	outs := make([]core.StepOutcome, len(idxs))
-	errs := make([]error, len(idxs))
+// ExecuteBatch groups the batch by owning shard and sends ONE StepBatch
+// per shard — for a batch of K inputs over S shards that is at most
+// min(K, S) round trips instead of K, which is the distributed payoff of
+// Config.BatchSize; at K=1 it is one round trip to the owner. Shard calls
+// run concurrently (like real workers serving independent requests);
+// outcomes are reassembled positionally into the caller's slices. A shard
+// whose whole call still fails after the retry budget errors each of its
+// items; the engine loop quarantines them and charges the arm, so a dead
+// worker degrades exactly like a corrupt shard and eventually trips the
+// failure budget.
+func (c *coordinator) ExecuteBatch(ctx context.Context, firstStep int, idxs []int, outs []core.StepOutcome, errs []error) {
 	// Group batch positions by owner, owners in first-seen (batch) order.
 	var owners []int
 	positions := map[int][]int{}
 	for p, idx := range idxs {
+		outs[p], errs[p] = core.StepOutcome{}, nil
 		owner := c.sm.Owner(idx)
 		if owner < 0 {
 			errs[p] = fmt.Errorf("dist: step %d: input %d outside the shard map", firstStep+p, idx)
@@ -454,7 +416,6 @@ func (c *coordinator) ExecuteBatch(ctx context.Context, firstStep int, idxs []in
 			}
 		}
 	})
-	return outs, errs
 }
 
 // Stats collects worker tallies, finishing the run on every worker the

@@ -111,22 +111,6 @@ func distWorkerHandler(w *Worker) http.Handler {
 		}
 		writeJSON(rw, http.StatusOK, resp)
 	})
-	mux.HandleFunc("POST /dist/step", func(rw http.ResponseWriter, r *http.Request) {
-		var req StepRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			fail(rw, err)
-			return
-		}
-		resp, err := w.Step(req)
-		if err == nil {
-			err = resp.EncodeResult()
-		}
-		if err != nil {
-			fail(rw, err)
-			return
-		}
-		writeJSON(rw, http.StatusOK, resp)
-	})
 	mux.HandleFunc("POST /dist/step-batch", func(rw http.ResponseWriter, r *http.Request) {
 		var req StepBatchRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {

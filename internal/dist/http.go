@@ -126,17 +126,6 @@ func (c *httpClient) Holdout(ctx context.Context, req HoldoutRequest) (HoldoutRe
 	return resp, nil
 }
 
-func (c *httpClient) Step(ctx context.Context, req StepRequest) (StepResponse, error) {
-	var resp StepResponse
-	if err := c.post(ctx, "/dist/step", req, &resp); err != nil {
-		return StepResponse{}, err
-	}
-	if err := resp.DecodeResult(); err != nil {
-		return StepResponse{}, err
-	}
-	return resp, nil
-}
-
 func (c *httpClient) StepBatch(ctx context.Context, req StepBatchRequest) (StepBatchResponse, error) {
 	var resp StepBatchResponse
 	if err := c.post(ctx, "/dist/step-batch", req, &resp); err != nil {

@@ -95,15 +95,6 @@ func (c *localClient) Holdout(ctx context.Context, req HoldoutRequest) (HoldoutR
 	return resp, err
 }
 
-func (c *localClient) Step(ctx context.Context, req StepRequest) (StepResponse, error) {
-	var resp StepResponse
-	var err error
-	if derr := c.do(ctx, func() { resp, err = c.w.Step(req) }); derr != nil {
-		return StepResponse{}, derr
-	}
-	return resp, err
-}
-
 func (c *localClient) StepBatch(ctx context.Context, req StepBatchRequest) (StepBatchResponse, error) {
 	var resp StepBatchResponse
 	var err error

@@ -11,10 +11,11 @@ import "context"
 type Client interface {
 	Init(ctx context.Context, req InitRequest) (InitResponse, error)
 	Holdout(ctx context.Context, req HoldoutRequest) (HoldoutResponse, error)
-	Step(ctx context.Context, req StepRequest) (StepResponse, error)
-	// StepBatch executes a batch of steps in one round trip. Per-item
-	// failures come back inside the response (StepBatchItem.Err); an error
-	// return means the whole call failed (transport loss, unknown run).
+	// StepBatch executes a batch of steps — at K=1, a batch of one — in one
+	// round trip; it is the only step call. Per-item failures come back
+	// inside the response (StepBatchItem.Err); an error return means the
+	// whole call failed (transport loss, unknown run, a dead worker), and
+	// the coordinator retries it.
 	StepBatch(ctx context.Context, req StepBatchRequest) (StepBatchResponse, error)
 	Finish(ctx context.Context, req FinishRequest) (FinishResponse, error)
 }

@@ -84,18 +84,26 @@ type HoldoutResponse struct {
 	Spans []otrace.Span `json:"spans,omitempty"`
 }
 
-// StepRequest asks the owning worker to execute one bandit step: read
-// store index Idx and extract it. Step is the loop's step counter, for
-// tracing and fault keying symmetry with the engine.
-type StepRequest struct {
+// StepBatchRequest asks the owning worker to execute a batch of bandit
+// steps in one call — the transport-level half of Config.BatchSize: the
+// coordinator groups each engine batch by owning shard and sends one
+// StepBatch per shard (a K=1 batch is a request of one). Steps[j] is the
+// engine loop's step counter for Idxs[j]; the slices are parallel and must
+// have equal length.
+type StepBatchRequest struct {
 	RunID       string `json:"run_id"`
-	Step        int    `json:"step"`
-	Idx         int    `json:"idx"`
+	Steps       []int  `json:"steps"`
+	Idxs        []int  `json:"idxs"`
 	Traceparent string `json:"traceparent,omitempty"`
 }
 
-// StepResponse mirrors core.StepOutcome on the wire.
-type StepResponse struct {
+// StepBatchItem is one input's outcome inside a batch, mirroring
+// core.StepOutcome on the wire, or a worker-produced per-item error in Err.
+// Failures that concern the whole call — an unknown run, an injected
+// dist.step fault, a misrouted input, a worker panic — fail the call
+// instead, so the coordinator retries it.
+type StepBatchItem struct {
+	Err          string `json:"error,omitempty"`
 	InputID      string `json:"input_id,omitempty"`
 	ReadErr      string `json:"read_err,omitempty"`
 	CostNanos    int64  `json:"cost_ns,omitempty"`
@@ -107,36 +115,6 @@ type StepResponse struct {
 
 	ResultB64 string             `json:"result,omitempty"`
 	Result    featurepipe.Result `json:"-"`
-
-	// Spans are the worker-side spans for this step (set only on the
-	// top-level Step response, never on batch items — a batch's spans ride
-	// on the StepBatchResponse).
-	Spans []otrace.Span `json:"spans,omitempty"`
-}
-
-// StepBatchRequest asks the owning worker to execute a whole batch of
-// bandit steps in one call — the transport-level half of Config.BatchSize:
-// the coordinator groups each engine batch by owning shard and sends one
-// StepBatch per shard instead of one Step per input. Steps[j] is the
-// engine loop's step counter for Idxs[j], exactly the number a per-item
-// Step call would carry; the slices are parallel and must have equal
-// length.
-type StepBatchRequest struct {
-	RunID       string `json:"run_id"`
-	Steps       []int  `json:"steps"`
-	Idxs        []int  `json:"idxs"`
-	Traceparent string `json:"traceparent,omitempty"`
-}
-
-// StepBatchItem is one input's outcome inside a batch: either a
-// StepResponse or a worker-produced error. Err carries exactly the message
-// a per-item Step call would have returned as its error — per-item
-// failures (an injected dist.step fault, a misrouted input, a worker
-// panic) ride inside a successful batch response so one bad input cannot
-// poison its batchmates.
-type StepBatchItem struct {
-	Err string `json:"error,omitempty"`
-	StepResponse
 }
 
 // StepBatchResponse lists the batch outcomes positionally: Items[j]
@@ -172,34 +150,10 @@ type traceCarrier interface{ traceparent() string }
 
 func (r InitRequest) traceparent() string      { return r.Traceparent }
 func (r HoldoutRequest) traceparent() string   { return r.Traceparent }
-func (r StepRequest) traceparent() string      { return r.Traceparent }
 func (r StepBatchRequest) traceparent() string { return r.Traceparent }
 func (r FinishRequest) traceparent() string    { return r.Traceparent }
 
 var resultCodec featurepipe.ResultCodec
-
-// EncodeResult fills ResultB64 from the native Result for the wire.
-func (r *StepResponse) EncodeResult() error {
-	b, err := resultCodec.Encode(r.Result)
-	if err != nil {
-		return fmt.Errorf("dist: encode step result: %w", err)
-	}
-	r.ResultB64 = base64.StdEncoding.EncodeToString(b)
-	return nil
-}
-
-// DecodeResult fills the native Result from ResultB64 after unmarshaling.
-func (r *StepResponse) DecodeResult() error {
-	if r.ResultB64 == "" {
-		return nil
-	}
-	res, err := decodeResultB64(r.ResultB64)
-	if err != nil {
-		return fmt.Errorf("dist: decode step result: %w", err)
-	}
-	r.Result = res
-	return nil
-}
 
 // EncodeResults fills every non-errored item's ResultB64 for the wire.
 func (b *StepBatchResponse) EncodeResults() error {
@@ -208,9 +162,11 @@ func (b *StepBatchResponse) EncodeResults() error {
 		if it.Err != "" {
 			continue
 		}
-		if err := it.EncodeResult(); err != nil {
-			return fmt.Errorf("dist: batch item %d: %w", i, err)
+		raw, err := resultCodec.Encode(it.Result)
+		if err != nil {
+			return fmt.Errorf("dist: encode batch item %d result: %w", i, err)
 		}
+		it.ResultB64 = base64.StdEncoding.EncodeToString(raw)
 	}
 	return nil
 }
@@ -220,12 +176,14 @@ func (b *StepBatchResponse) EncodeResults() error {
 func (b *StepBatchResponse) DecodeResults() error {
 	for i := range b.Items {
 		it := &b.Items[i]
-		if it.Err != "" {
+		if it.Err != "" || it.ResultB64 == "" {
 			continue
 		}
-		if err := it.DecodeResult(); err != nil {
-			return fmt.Errorf("dist: batch item %d: %w", i, err)
+		res, err := decodeResultB64(it.ResultB64)
+		if err != nil {
+			return fmt.Errorf("dist: decode batch item %d result: %w", i, err)
 		}
+		it.Result = res
 	}
 	return nil
 }

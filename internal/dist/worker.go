@@ -202,73 +202,23 @@ func (w *Worker) Holdout(req HoldoutRequest) (HoldoutResponse, error) {
 	return resp, nil
 }
 
-// Step executes one bandit step: fire the worker's dist.step fault gate
-// (a dead worker errors every step; a slow one sleeps), check ownership,
-// then read + extract through the shared local executor. A panic anywhere
-// in the step (an injected panic rule at dist.step, most likely) is
-// recovered into an error so both transports surface it as a failed step
-// with the same message, rather than http tearing down the connection
-// while local crashes the process.
-func (w *Worker) Step(req StepRequest) (StepResponse, error) {
-	run, err := w.run(req.RunID)
-	if err != nil {
-		return StepResponse{}, err
-	}
-	tr, ref := startRequestSpan(req.Traceparent, "worker.step",
-		otrace.Int("shard", int64(run.shard)), otrace.Int("step", int64(req.Step)))
-	resp, err := w.stepOne(run, req.Step, req.Idx)
-	if tr != nil && err == nil {
-		ref.End(otrace.Dur("ns.read", time.Duration(resp.ReadNanos)),
-			otrace.Dur("ns.extract", time.Duration(resp.ExtractNanos)))
-		resp.Spans, _ = tr.Snapshot()
-	}
-	return resp, err
-}
-
-// stepOne executes one step for a looked-up run: the shared body of Step
-// and StepBatch, so a batched step behaves — fault gate, ownership check,
-// panic isolation, error text — exactly like a per-item Step call.
-func (w *Worker) stepOne(run *workerRun, step, idx int) (resp StepResponse, err error) {
+// StepBatch executes a batch of steps in one call. Everything that can
+// fail the whole call does so before any item runs: the request shape,
+// the run lookup, the run's dist.step fault gate — fired once per call, so
+// a dead worker fails every call (which the coordinator retries, then
+// quarantines item by item) and a slow one stalls once per call — and the
+// ownership check. A panic anywhere in the call (an injected panic rule at
+// dist.step, most likely) is recovered into a call error, so both
+// transports surface it with the same message rather than http tearing
+// down the connection while local crashes the process. The items then run
+// through the shared local executor, each executor error captured in its
+// StepBatchItem.Err so the rest of the batch proceeds.
+func (w *Worker) StepBatch(req StepBatchRequest) (resp StepBatchResponse, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			resp, err = StepResponse{}, fmt.Errorf("dist: worker step panic: %v", p)
+			resp, err = StepBatchResponse{}, fmt.Errorf("dist: worker step panic: %v", p)
 		}
 	}()
-	if ferr := run.faults.Fire(fault.SiteDistStep, run.label); ferr != nil {
-		return StepResponse{}, ferr
-	}
-	if owner := run.sm.Owner(idx); owner != run.shard {
-		return StepResponse{}, fmt.Errorf("dist: input %d belongs to shard %d, not %d (misrouted step)", idx, owner, run.shard)
-	}
-	out, err := run.exec.ExecuteStep(context.Background(), step, idx)
-	if err != nil {
-		return StepResponse{}, err
-	}
-	run.steps.Add(1)
-	if w.steps != nil {
-		w.steps.Inc()
-		w.read.Observe(float64(out.ReadNanos) / 1e9)
-		w.extract.Observe(float64(out.ExtractNanos) / 1e9)
-	}
-	return StepResponse{
-		InputID:      out.InputID,
-		ReadErr:      out.ReadErr,
-		CostNanos:    int64(out.Cost),
-		ExtractErr:   out.ExtractErr,
-		Panicked:     out.Panicked,
-		CacheHit:     out.CacheHit,
-		ReadNanos:    out.ReadNanos,
-		ExtractNanos: out.ExtractNanos,
-		Result:       out.Res,
-	}, nil
-}
-
-// StepBatch executes a batch of steps in one call. The run lookup and
-// request validation fail the whole call (there is nothing per-item about
-// them); everything after runs per item through stepOne, with each item's
-// failure captured in its StepBatchItem.Err so the rest of the batch
-// proceeds.
-func (w *Worker) StepBatch(req StepBatchRequest) (StepBatchResponse, error) {
 	if len(req.Steps) != len(req.Idxs) {
 		return StepBatchResponse{}, fmt.Errorf("dist: step batch has %d steps for %d inputs", len(req.Steps), len(req.Idxs))
 	}
@@ -276,19 +226,46 @@ func (w *Worker) StepBatch(req StepBatchRequest) (StepBatchResponse, error) {
 	if err != nil {
 		return StepBatchResponse{}, err
 	}
+	if err := run.faults.Fire(fault.SiteDistStep, run.label); err != nil {
+		return StepBatchResponse{}, err
+	}
+	for _, idx := range req.Idxs {
+		if owner := run.sm.Owner(idx); owner != run.shard {
+			return StepBatchResponse{}, fmt.Errorf("dist: input %d belongs to shard %d, not %d (misrouted step)", idx, owner, run.shard)
+		}
+	}
 	tr, ref := startRequestSpan(req.Traceparent, "worker.step_batch",
 		otrace.Int("shard", int64(run.shard)))
+	outs := make([]core.StepOutcome, len(req.Idxs))
+	errs := make([]error, len(req.Idxs))
+	run.exec.ExecuteBatch(context.Background(), 0, req.Idxs, outs, errs)
 	var readNs, extractNs int64
-	resp := StepBatchResponse{Items: make([]StepBatchItem, len(req.Idxs))}
-	for j, idx := range req.Idxs {
-		sr, err := w.stepOne(run, req.Steps[j], idx)
-		if err != nil {
-			resp.Items[j].Err = err.Error()
+	resp.Items = make([]StepBatchItem, len(req.Idxs))
+	for j := range outs {
+		if errs[j] != nil {
+			resp.Items[j].Err = errs[j].Error()
 			continue
 		}
-		readNs += sr.ReadNanos
-		extractNs += sr.ExtractNanos
-		resp.Items[j].StepResponse = sr
+		out := &outs[j]
+		run.steps.Add(1)
+		if w.steps != nil {
+			w.steps.Inc()
+			w.read.Observe(float64(out.ReadNanos) / 1e9)
+			w.extract.Observe(float64(out.ExtractNanos) / 1e9)
+		}
+		readNs += out.ReadNanos
+		extractNs += out.ExtractNanos
+		resp.Items[j] = StepBatchItem{
+			InputID:      out.InputID,
+			ReadErr:      out.ReadErr,
+			CostNanos:    int64(out.Cost),
+			ExtractErr:   out.ExtractErr,
+			Panicked:     out.Panicked,
+			CacheHit:     out.CacheHit,
+			ReadNanos:    out.ReadNanos,
+			ExtractNanos: out.ExtractNanos,
+			Result:       out.Res,
+		}
 	}
 	if tr != nil {
 		ref.End(otrace.Int("steps", int64(len(req.Idxs))),

@@ -49,12 +49,12 @@ const (
 	// keyed by "corpus/strategy#attempt" — the transient failure the
 	// build retry exists for.
 	SiteIndexBuild Site = "index.build"
-	// SiteDistStep faults fire on a distributed worker at the top of each
-	// step it executes, keyed by the worker's shard label ("w0", "w1", …).
-	// An error rule here models a dead worker (every step routed to it
-	// fails, over any transport), a latency rule a slow one. The site is
-	// fired worker-side so the local and http transports fail with
-	// byte-identical messages.
+	// SiteDistStep faults fire on a distributed worker once at the top of
+	// each step-batch call it serves, keyed by the worker's shard label
+	// ("w0", "w1", …). An error rule here models a dead worker (every call
+	// routed to it fails, over any transport), a latency rule a slow one.
+	// The site is fired worker-side so the local and http transports fail
+	// with byte-identical messages.
 	SiteDistStep Site = "dist.step"
 	// SiteJournalWrite faults fire when the durable run store appends a
 	// lifecycle record to its write-ahead journal, keyed by

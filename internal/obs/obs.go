@@ -174,9 +174,9 @@ func (r *Registry) GaugeL(name, help, labelKey, labelValue string) *Gauge {
 }
 
 // CounterL is Counter with an ordered set of constant labels, e.g.
-// method="step",worker="1". Series sharing a name must declare the same
-// label keys in the same order; the flat-JSON exposition folds every
-// value into the key suffix (dist_rpc_errors_step_1).
+// method="step-batch",worker="1". Series sharing a name must declare the
+// same label keys in the same order; the flat-JSON exposition folds every
+// value into the key suffix (dist_rpc_errors_step-batch_1).
 func (r *Registry) CounterL(name, help string, labels ...Label) *Counter {
 	m := r.declare(&metric{
 		name: name, help: help, kind: kindCounter,

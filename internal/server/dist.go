@@ -59,23 +59,6 @@ func (s *Server) handleDistHoldout(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleDistStep(w http.ResponseWriter, r *http.Request) {
-	var req dist.StepRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	fillTraceparent(&req.Traceparent, r)
-	resp, err := s.distWorker.Step(req)
-	if err == nil {
-		err = resp.EncodeResult()
-	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleDistStepBatch(w http.ResponseWriter, r *http.Request) {
 	var req dist.StepBatchRequest
 	if !readJSON(w, r, &req) {

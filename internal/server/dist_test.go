@@ -96,7 +96,7 @@ func TestDistSubmitValidation(t *testing.T) {
 // message-verbatim behavior rests on.
 func TestDistWorkerEndpointUnknownRun(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp := postJSON(t, ts.URL+"/dist/step", map[string]any{"run_id": "ghost", "step": 1, "idx": 0})
+	resp := postJSON(t, ts.URL+"/dist/step-batch", map[string]any{"run_id": "ghost", "steps": []int{1}, "idxs": []int{0}})
 	body := decodeBody[errorBody](t, resp, http.StatusInternalServerError)
 	if body.Error != `dist: unknown run "ghost" on this worker (init first)` {
 		t.Fatalf("error body %q", body.Error)

@@ -301,9 +301,10 @@ func (m *Manager) Cancel(id string) (RunInfo, error) {
 		if m.metrics != nil {
 			m.metrics.RunsCancelled.Add(1)
 		}
-		// The cancel itself finished a queued run; no worker will ever own
-		// it, so the terminal record is journaled here.
+		// The cancel itself settled a queued run; no worker will ever own
+		// it, so the terminal record is journaled and published here.
 		m.store.RunFinished(run.ID, now, run.Info())
+		run.publish()
 	}
 	return run.Info(), nil
 }
@@ -342,12 +343,10 @@ func (m *Manager) execute(run *Run) {
 			m.metrics.InputsQuarantined.Add(int64(len(res.Quarantined)))
 		}
 	}
+	state, errMsg := StateDone, ""
 	switch {
 	case err != nil:
-		run.finish(StateFailed, nil, err.Error(), finished)
-		if m.metrics != nil {
-			m.metrics.RunsFailed.Add(1)
-		}
+		state, errMsg, res = StateFailed, err.Error(), nil
 	case res.Stop == core.StopFailed:
 		// The failure budget tripped: terminal failed, but with the partial
 		// result attached — the curve so far and the quarantine list are the
@@ -359,13 +358,9 @@ func (m *Manager) execute(run *Run) {
 				loopQuarantined++
 			}
 		}
-		run.finish(StateFailed, res,
-			fmt.Sprintf("failure budget exceeded: %d of %d processed inputs quarantined",
-				loopQuarantined, res.InputsProcessed), finished)
-		if m.metrics != nil {
-			m.metrics.RunsFailed.Add(1)
-			m.metrics.InputsProcessed.Add(int64(res.InputsProcessed))
-		}
+		state = StateFailed
+		errMsg = fmt.Sprintf("failure budget exceeded: %d of %d processed inputs quarantined",
+			loopQuarantined, res.InputsProcessed)
 	case res.Stop == core.StopCancelled:
 		// Distinguish a deadline expiry from a client cancel: both surface
 		// as a cancelled loop, but only the former carries DeadlineExceeded.
@@ -375,20 +370,29 @@ func (m *Manager) execute(run *Run) {
 				m.metrics.RunsTimedOut.Add(1)
 			}
 		}
-		run.finish(StateCancelled, res, "", finished)
-		if m.metrics != nil {
+		state = StateCancelled
+	}
+	// Terminal ordering: settle the state, count it, journal it, and only
+	// then publish — closing Done and every SSE stream (see Run.settle).
+	if !run.settle(state, res, errMsg, finished) {
+		return
+	}
+	if m.metrics != nil {
+		switch state {
+		case StateFailed:
+			m.metrics.RunsFailed.Add(1)
+		case StateCancelled:
 			m.metrics.RunsCancelled.Add(1)
-			m.metrics.InputsProcessed.Add(int64(res.InputsProcessed))
-		}
-	default:
-		run.finish(StateDone, res, "", finished)
-		if m.metrics != nil {
+		default:
 			m.metrics.RunsCompleted.Add(1)
+		}
+		if res != nil {
 			m.metrics.InputsProcessed.Add(int64(res.InputsProcessed))
 		}
 	}
 	info := run.Info()
 	m.store.RunFinished(run.ID, finished, info)
+	run.publish()
 	if info.Error != "" {
 		m.log.Error("run finished", "run", run.ID, "state", info.State,
 			"wall_ms", info.WallMillis, "error", info.Error)
@@ -640,10 +644,12 @@ func (m *Manager) recoverPending() int {
 			// A recovery flood larger than the queue: fail the overflow runs
 			// loudly rather than dropping them silently. Clients see why.
 			now := time.Now()
-			run.finish(StateFailed, nil, "recovery re-queue failed: run queue full", now)
-			m.store.RunFinished(run.ID, now, run.Info())
-			if m.metrics != nil {
-				m.metrics.RunsFailed.Add(1)
+			if run.settle(StateFailed, nil, "recovery re-queue failed: run queue full", now) {
+				if m.metrics != nil {
+					m.metrics.RunsFailed.Add(1)
+				}
+				m.store.RunFinished(run.ID, now, run.Info())
+				run.publish()
 			}
 			m.log.Error("run recovery failed", "run", run.ID, "error", "queue full")
 			continue

@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,6 +36,12 @@ func writeImageCorpus(t *testing.T, n int, seed int64) string {
 // corpus.
 func newTestManager(t *testing.T, corpusName string, n int, workers, queueCap int) (*Manager, *Metrics) {
 	t.Helper()
+	return newTestManagerStore(t, corpusName, n, workers, queueCap, nil)
+}
+
+// newTestManagerStore is newTestManager journaling into store.
+func newTestManagerStore(t *testing.T, corpusName string, n int, workers, queueCap int, store RunStore) (*Manager, *Metrics) {
+	t.Helper()
 	metrics := NewMetrics(nil)
 	registry := NewRegistry()
 	if _, err := registry.Add(corpusName, writeImageCorpus(t, n, 42), false); err != nil {
@@ -43,7 +51,7 @@ func newTestManager(t *testing.T, corpusName string, n int, workers, queueCap in
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(registry, NewIndexCache(metrics), featCache, metrics, nil, workers, queueCap, RunDefaults{})
+	m := NewManager(registry, NewIndexCache(metrics), featCache, metrics, store, workers, queueCap, RunDefaults{})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
@@ -143,6 +151,91 @@ func TestCancelRunningRun(t *testing.T) {
 	}
 	if metrics.RunsCancelled.Load() != 1 {
 		t.Fatalf("runs_cancelled = %d", metrics.RunsCancelled.Load())
+	}
+}
+
+// publishSpy is a RunStore that checks, at the moment each terminal
+// record is journaled, that the run's Done channel is still open and its
+// outcome already counted: the terminal ordering is settle, count,
+// journal, publish.
+type publishSpy struct {
+	RunStore
+	m       *Manager
+	metrics *Metrics
+
+	mu       sync.Mutex
+	journals map[string]string // run ID → ordering problem, "" when clean
+}
+
+func (s *publishSpy) RunFinished(id string, at time.Time, info RunInfo) {
+	run, _ := s.m.Get(id)
+	problem := ""
+	select {
+	case <-run.Done():
+		problem = "Done closed before the terminal record was journaled"
+	default:
+	}
+	counted := map[RunState]int64{
+		StateDone:      s.metrics.RunsCompleted.Load(),
+		StateCancelled: s.metrics.RunsCancelled.Load(),
+	}[info.State]
+	if counted == 0 {
+		problem += fmt.Sprintf(" %s journaled before its counter was bumped", info.State)
+	}
+	s.mu.Lock()
+	s.journals[id] = problem
+	s.mu.Unlock()
+	s.RunStore.RunFinished(id, at, info)
+}
+
+// check asserts run was journaled, in order, before its Done closed.
+func (s *publishSpy) check(t *testing.T, run *Run) {
+	t.Helper()
+	<-run.Done()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	problem, ok := s.journals[run.ID]
+	if !ok {
+		t.Fatalf("%s: Done closed before RunFinished was journaled", run.ID)
+	}
+	if problem != "" {
+		t.Fatalf("%s: %s", run.ID, problem)
+	}
+}
+
+// TestTerminalPublishOrdering pins the order of every terminal path — a
+// natural completion, a cancelled running run, a cancelled queued run:
+// the counter bump and the journal record both precede Done.
+func TestTerminalPublishOrdering(t *testing.T) {
+	spy := &publishSpy{RunStore: NewMemStore(), journals: map[string]string{}}
+	m, metrics := newTestManagerStore(t, "imgs", 2000, 1, 4, spy)
+	spy.m, spy.metrics = m, metrics
+
+	quick, err := m.Submit(RunSpec{Corpus: "imgs", Task: "image", MaxInputs: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spy.check(t, quick)
+
+	long, err := m.Submit(longSpec("imgs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, long, StateRunning)
+	queued, err := m.Submit(RunSpec{Corpus: "imgs", Task: "image", MaxInputs: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	spy.check(t, queued)
+	if _, err := m.Cancel(long.ID); err != nil {
+		t.Fatal(err)
+	}
+	spy.check(t, long)
+	if got := metrics.RunsCancelled.Load(); got != 2 {
+		t.Fatalf("runs_cancelled = %d, want 2", got)
 	}
 }
 

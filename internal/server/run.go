@@ -488,15 +488,16 @@ func (r *Run) start(cancel context.CancelFunc, now time.Time) bool {
 }
 
 // requestCancel asks the run to stop and returns the state observed at
-// decision time. A queued run is finished as cancelled on the spot (no
+// decision time. A queued run is settled as cancelled on the spot (no
 // worker will ever own it); a running run gets its context cancelled and
 // reaches StateCancelled when the engine loop notices; a terminal run is
-// untouched. cancelledNow reports whether this call itself finished the
-// run (the caller owns the metrics increment in that case).
+// untouched. cancelledNow reports whether this call itself settled the
+// run — the caller then owns the metrics increment, the journal record
+// and the publish, in that order (see settle).
 func (r *Run) requestCancel(now time.Time) (state RunState, cancelledNow bool) {
 	r.mu.Lock()
 	if r.state == StateQueued {
-		r.finishLocked(StateCancelled, nil, "", now)
+		r.settleLocked(StateCancelled, nil, "", now)
 		r.mu.Unlock()
 		return StateCancelled, true
 	}
@@ -509,27 +510,39 @@ func (r *Run) requestCancel(now time.Time) (state RunState, cancelledNow bool) {
 	return state, false
 }
 
-// finish moves the run to a terminal state, records the outcome, closes
-// every subscriber channel, and signals Done. It is a no-op if the run is
-// already terminal (a cancel racing a natural completion, for example).
-// It reports whether this call performed the transition.
-func (r *Run) finish(state RunState, res *core.RunResult, errMsg string, now time.Time) bool {
+// settle moves the run to a terminal state and records the outcome
+// without telling anyone yet: the caller counts the outcome, journals it,
+// and only then calls publish. A client woken by Done therefore finds the
+// counters already bumped, and a crash before publish finds the terminal
+// record journaled instead of re-executing a finished run on recovery.
+// settle is a no-op if the run is already terminal (a cancel racing a
+// natural completion, for example) and reports whether this call
+// performed the transition; only then may the caller publish.
+func (r *Run) settle(state RunState, res *core.RunResult, errMsg string, now time.Time) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.state.terminal() {
 		return false
 	}
-	r.finishLocked(state, res, errMsg, now)
+	r.settleLocked(state, res, errMsg, now)
 	return true
 }
 
-// finishLocked is finish with r.mu already held and the state known to be
+// settleLocked is settle with r.mu already held and the state known to be
 // non-terminal.
-func (r *Run) finishLocked(state RunState, res *core.RunResult, errMsg string, now time.Time) {
+func (r *Run) settleLocked(state RunState, res *core.RunResult, errMsg string, now time.Time) {
 	r.state = state
 	r.result = res
 	r.errMsg = errMsg
 	r.finished = now
+}
+
+// publish announces a settled run: it closes every subscriber channel and
+// signals Done. Call it exactly once, after the settle that performed the
+// transition.
+func (r *Run) publish() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for id, ch := range r.subs {
 		delete(r.subs, id)
 		close(ch)

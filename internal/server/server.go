@@ -264,7 +264,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("DELETE /cache", s.handleCacheInvalidate)
 	s.mux.HandleFunc("POST /dist/init", s.handleDistInit)
 	s.mux.HandleFunc("POST /dist/holdout", s.handleDistHoldout)
-	s.mux.HandleFunc("POST /dist/step", s.handleDistStep)
 	s.mux.HandleFunc("POST /dist/step-batch", s.handleDistStepBatch)
 	s.mux.HandleFunc("POST /dist/finish", s.handleDistFinish)
 	return s, nil
