@@ -48,7 +48,7 @@ define smoke_tmp
 if [ -n "$(SMOKE_DIR)" ]; then tmp="$(SMOKE_DIR)/$(1)"; rm -rf "$$tmp"; mkdir -p "$$tmp"; keep=1; else tmp=$$(mktemp -d); keep=; fi
 endef
 
-.PHONY: all build bin test race vet fmt-check lint cover bench-smoke cache-smoke chaos-smoke obs-smoke session-smoke bench-gate dist-smoke batch-smoke crash-smoke trace-smoke ci
+.PHONY: all build bin test race vet fmt-check lint cover bench-smoke cache-smoke chaos-smoke obs-smoke session-smoke bench-gate dist-smoke batch-smoke crash-smoke trace-smoke perfbench-test ci
 
 all: build
 
@@ -518,4 +518,10 @@ trace-smoke:
 		|| { echo "trace-smoke: chrome trace export is empty or invalid"; exit 1; }; \
 	echo "trace-smoke OK: $$nspans spans, $$wstitched worker spans stitched under coordinator rpc spans, cost cells for 2 shards"
 
-ci: fmt-check vet lint build race cover bench-smoke cache-smoke chaos-smoke obs-smoke session-smoke dist-smoke batch-smoke crash-smoke trace-smoke
+# perfbench-test runs the benchmark module's smoke and logic tests.
+# perfbench is a Go module of its own (it replaces zombie with this
+# checkout), so `go test ./...` at the root never reaches it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
+ci: fmt-check vet lint build race cover bench-smoke cache-smoke chaos-smoke obs-smoke session-smoke dist-smoke batch-smoke crash-smoke trace-smoke perfbench-test

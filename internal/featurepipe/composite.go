@@ -50,14 +50,15 @@ func NewCompositeFeature(name string, parts ...FeatureFunc) (*CompositeFeature, 
 
 // Extract implements FeatureFunc.
 func (c *CompositeFeature) Extract(in *corpus.Input) (Result, error) {
-	// Parts emit non-zeros in increasing index order and their offset
-	// ranges are disjoint, so the concatenated coordinates arrive already
-	// sorted — the assembly is O(nnz) with no map or sort.
-	offset := 0
-	var idx []int
-	var val []float64
+	// Every part is extracted before assembly so the concatenated vector
+	// is allocated once at its exact size. Parts emit non-zeros in
+	// increasing index order and their offset ranges are disjoint, so the
+	// concatenated coordinates arrive already sorted — the assembly is
+	// O(nnz) with no map or sort.
+	var stack [8]Result // composites rarely have more parts; more spill to the heap
+	results := stack[:0]
+	nnz := 0
 	useful := false
-	var first *Result
 	for _, p := range c.parts {
 		res, err := p.Extract(in)
 		if err != nil {
@@ -70,21 +71,28 @@ func (c *CompositeFeature) Extract(in *corpus.Input) (Result, error) {
 			return Result{}, fmt.Errorf("featurepipe: composite %s: part %s produced dim %d, declared %d",
 				c.FuncName, p.Name(), got, p.Dim())
 		}
-		if first == nil {
-			r := res
-			first = &r
-		}
 		useful = useful || res.Useful
+		nnz += res.Example.Features.NNZ()
+		results = append(results, res)
+	}
+	var idx []int
+	var val []float64
+	if nnz > 0 {
+		idx, val = make([]int, 0, nnz), make([]float64, 0, nnz)
+	}
+	offset := 0
+	for k, res := range results {
 		res.Example.Features.ForEachNonZero(func(i int, x float64) {
 			idx = append(idx, offset+i)
 			val = append(val, x)
 		})
-		offset += p.Dim()
+		offset += c.parts[k].Dim()
 	}
+	first := results[0].Example
 	ex := learner.Example{
 		Features: learner.SparseVec(linalg.SparseFromOrdered(c.FuncDim, idx, val)),
-		Class:    first.Example.Class,
-		Target:   first.Example.Target,
+		Class:    first.Class,
+		Target:   first.Target,
 	}
 	return Result{Example: ex, Produced: true, Useful: useful}, nil
 }

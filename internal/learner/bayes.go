@@ -11,10 +11,15 @@ import (
 // (term counts or tf-idf weights) and is the natural learner for the
 // hashed text features Zombie's wiki task produces. Negative feature
 // values are treated as zero.
+//
+// Scoring reads logCount, the per-(class, feature) log of the smoothed
+// count, which PartialFit keeps current for exactly the coordinates it
+// touches; a holdout evaluation therefore takes no logarithm per feature.
 type MultinomialNB struct {
 	alpha      float64
 	classCount []float64
 	featCount  [][]float64 // [class][feature] accumulated counts
+	logCount   [][]float64 // [class][feature] math.Log(featCount+alpha)
 	featTotal  []float64   // [class] sum over features
 	seen       int
 }
@@ -32,11 +37,14 @@ func NewMultinomialNB(dim, numClasses int, alpha float64) *MultinomialNB {
 		alpha:      alpha,
 		classCount: make([]float64, numClasses),
 		featCount:  make([][]float64, numClasses),
+		logCount:   make([][]float64, numClasses),
 		featTotal:  make([]float64, numClasses),
 	}
 	for c := range m.featCount {
 		m.featCount[c] = make([]float64, dim)
+		m.logCount[c] = make([]float64, dim)
 	}
+	m.Reset()
 	return m
 }
 
@@ -45,10 +53,11 @@ func (m *MultinomialNB) PartialFit(ex Example) {
 	checkDim(len(m.featCount[0]), ex.Features, "MultinomialNB")
 	checkClass(len(m.featCount), ex.Class, "MultinomialNB")
 	m.classCount[ex.Class]++
-	row := m.featCount[ex.Class]
+	row, logRow := m.featCount[ex.Class], m.logCount[ex.Class]
 	ex.Features.ForEachNonZero(func(i int, v float64) {
 		if v > 0 {
 			row[i] += v
+			logRow[i] = math.Log(row[i] + m.alpha)
 			m.featTotal[ex.Class] += v
 		}
 	})
@@ -67,10 +76,10 @@ func (m *MultinomialNB) logJoint(v FeatureVector, out []float64) {
 		prior := math.Log((m.classCount[c] + 1) / (totalDocs + float64(len(out))))
 		ll := prior
 		den := math.Log(m.featTotal[c] + m.alpha*dim)
-		row := m.featCount[c]
+		logRow := m.logCount[c]
 		v.ForEachNonZero(func(i int, x float64) {
 			if x > 0 {
-				ll += x * (math.Log(row[i]+m.alpha) - den)
+				ll += x * (logRow[i] - den)
 			}
 		})
 		out[c] = ll
@@ -106,7 +115,7 @@ func (m *MultinomialNB) NumClasses() int { return len(m.featCount) }
 func (m *MultinomialNB) Seen() int { return m.seen }
 
 // ConcurrentPredictable implements ConcurrentPredictor: prediction only
-// reads the fitted counts.
+// reads the fitted counts and their cached log terms.
 func (m *MultinomialNB) ConcurrentPredictable() {}
 
 // OrderInsensitiveFit implements OrderInsensitive: the fitted counts are
@@ -115,8 +124,12 @@ func (m *MultinomialNB) OrderInsensitiveFit() {}
 
 // Reset implements Model.
 func (m *MultinomialNB) Reset() {
+	logAlpha := math.Log(m.alpha)
 	for c := range m.featCount {
 		linalg.Zero(m.featCount[c])
+		for i := range m.logCount[c] {
+			m.logCount[c][i] = logAlpha
+		}
 		m.classCount[c] = 0
 		m.featTotal[c] = 0
 	}
@@ -127,10 +140,17 @@ func (m *MultinomialNB) Reset() {
 // feature is modeled per class by an online mean and variance (Welford
 // update). It suits the dense numeric features of the song and image
 // tasks.
+//
+// Scoring reads norm and twoVar, the per-(class, feature) Gaussian
+// normalizer and doubled variance. PartialFit refreshes the fitted class's
+// row eagerly, so prediction only ever reads the tables and concurrent
+// scoring needs no lock.
 type GaussianNB struct {
 	classCount []float64
 	mean       [][]float64
 	m2         [][]float64
+	norm       [][]float64 // [class][feature] -0.5*math.Log(2*math.Pi*variance)
+	twoVar     [][]float64 // [class][feature] 2*variance
 	varFloor   float64
 	seen       int
 }
@@ -148,12 +168,17 @@ func NewGaussianNB(dim, numClasses int, varFloor float64) *GaussianNB {
 		classCount: make([]float64, numClasses),
 		mean:       make([][]float64, numClasses),
 		m2:         make([][]float64, numClasses),
+		norm:       make([][]float64, numClasses),
+		twoVar:     make([][]float64, numClasses),
 		varFloor:   varFloor,
 	}
 	for c := 0; c < numClasses; c++ {
 		m.mean[c] = make([]float64, dim)
 		m.m2[c] = make([]float64, dim)
+		m.norm[c] = make([]float64, dim)
+		m.twoVar[c] = make([]float64, dim)
 	}
+	m.Reset()
 	return m
 }
 
@@ -170,7 +195,22 @@ func (m *GaussianNB) PartialFit(ex Example) {
 		m.mean[c][i] += delta / n
 		m.m2[c][i] += delta * (x - m.mean[c][i])
 	}
+	m.refresh(c)
 	m.seen++
+}
+
+// refresh recomputes class c's score terms from its fitted moments.
+func (m *GaussianNB) refresh(c int) {
+	n := m.classCount[c]
+	norm, twoVar := m.norm[c], m.twoVar[c]
+	for i, m2 := range m.m2[c] {
+		variance := m.varFloor
+		if n >= 2 {
+			variance = m2/(n-1) + m.varFloor
+		}
+		norm[i] = -0.5 * math.Log(2*math.Pi*variance)
+		twoVar[i] = 2 * variance
+	}
 }
 
 func (m *GaussianNB) logJoint(v FeatureVector, out []float64) {
@@ -181,14 +221,17 @@ func (m *GaussianNB) logJoint(v FeatureVector, out []float64) {
 	for c := range out {
 		prior := math.Log((m.classCount[c] + 1) / (totalDocs + float64(len(out))))
 		ll := prior
-		n := m.classCount[c]
-		for i := 0; i < v.Dim(); i++ {
-			variance := m.varFloor
-			if n >= 2 {
-				variance = m.m2[c][i]/(n-1) + m.varFloor
+		mean, norm, twoVar := m.mean[c], m.norm[c], m.twoVar[c]
+		if v.sparse == nil {
+			for i, x := range v.dense {
+				d := x - mean[i]
+				ll += norm[i] - d*d/twoVar[i]
 			}
-			d := v.At(i) - m.mean[c][i]
-			ll += -0.5*math.Log(2*math.Pi*variance) - d*d/(2*variance)
+		} else {
+			for i := range mean {
+				d := v.sparse.At(i) - mean[i]
+				ll += norm[i] - d*d/twoVar[i]
+			}
 		}
 		out[c] = ll
 	}
@@ -223,7 +266,7 @@ func (m *GaussianNB) NumClasses() int { return len(m.mean) }
 func (m *GaussianNB) Seen() int { return m.seen }
 
 // ConcurrentPredictable implements ConcurrentPredictor: prediction only
-// reads the fitted moments.
+// reads the fitted moments and the score terms PartialFit refreshed.
 func (m *GaussianNB) ConcurrentPredictable() {}
 
 // OrderInsensitiveFit implements OrderInsensitive: the fitted moments are
@@ -237,6 +280,7 @@ func (m *GaussianNB) Reset() {
 		linalg.Zero(m.mean[c])
 		linalg.Zero(m.m2[c])
 		m.classCount[c] = 0
+		m.refresh(c)
 	}
 	m.seen = 0
 }

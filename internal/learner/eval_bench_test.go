@@ -60,3 +60,30 @@ func BenchmarkHoldoutQualityMultinomial(b *testing.B) {
 		h.Quality(m)
 	}
 }
+
+// BenchmarkHoldoutQualityGaussian scores the dense numeric path
+// (GaussianNB over a songs-shaped task: 12 features, 10 classes), the
+// model the songs workload trains.
+func BenchmarkHoldoutQualityGaussian(b *testing.B) {
+	r := rng.New(13)
+	const dim, classes, n = 12, 10, 2000
+	examples := make([]Example, n)
+	for i := range examples {
+		class := i % classes
+		vec := make([]float64, dim)
+		for d := range vec {
+			vec[d] = r.NormFloat64() + float64(class*(d%3))*0.4
+		}
+		examples[i] = Example{Features: DenseVec(vec), Class: class}
+	}
+	m := NewGaussianNB(dim, classes, 1e-3)
+	for _, ex := range examples[:n/2] {
+		m.PartialFit(ex)
+	}
+	h := NewHoldout(examples, MetricF1, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Quality(m)
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 
 	"zombie/internal/dist"
@@ -19,6 +20,16 @@ import (
 // wire field and mirrored in the standard W3C `traceparent` header. The
 // wire field wins; the header fallback keeps propagation working for
 // coordinators (or middleware) that only speak the header.
+
+// writeCompactJSON is writeJSON without indentation, for the
+// worker-internal /dist/* replies only: they are read by the coordinator's
+// transport, never by a person, and indenting would copy the whole reply
+// (for /dist/holdout, the whole encoded holdout) a second time.
+func writeCompactJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone; nothing to do
+}
 
 // fillTraceparent backfills an empty wire-field traceparent from the
 // request's W3C header.
@@ -39,7 +50,7 @@ func (s *Server) handleDistInit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeCompactJSON(w, resp)
 }
 
 func (s *Server) handleDistHoldout(w http.ResponseWriter, r *http.Request) {
@@ -56,7 +67,7 @@ func (s *Server) handleDistHoldout(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeCompactJSON(w, resp)
 }
 
 func (s *Server) handleDistStepBatch(w http.ResponseWriter, r *http.Request) {
@@ -73,7 +84,7 @@ func (s *Server) handleDistStepBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeCompactJSON(w, resp)
 }
 
 func (s *Server) handleDistFinish(w http.ResponseWriter, r *http.Request) {
@@ -87,5 +98,5 @@ func (s *Server) handleDistFinish(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeCompactJSON(w, resp)
 }

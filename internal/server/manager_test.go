@@ -61,10 +61,12 @@ func newTestManagerStore(t *testing.T, corpusName string, n int, workers, queueC
 }
 
 // longSpec is a run that cannot finish quickly: per-step set-based
-// re-evaluation over a large pool keeps the loop busy for many seconds,
-// giving tests a wide window to observe and cancel it.
+// re-evaluation over a large pool keeps the loop busy, and an injected
+// 1ms latency on every corpus read keeps it busy for seconds however fast
+// the learner scores, giving tests a wide window to observe and cancel it.
 func longSpec(corpusName string) RunSpec {
-	return RunSpec{Corpus: corpusName, Task: "image", Mode: "scan-random", EvalEvery: 1}
+	return RunSpec{Corpus: corpusName, Task: "image", Mode: "scan-random", EvalEvery: 1,
+		Faults: "corpus.read:lat=1ms"}
 }
 
 // waitState polls until the run reaches want or the deadline passes.
