@@ -328,10 +328,14 @@ loop:
 			stepCtx = cursorCtx
 		}
 		idxs, arm, ok := src.nextBatch(k)
-		dSelect := time.Since(tSelect)
-		phases.Select += dSelect
-		po.observe(phSelect, dSelect)
+		// One clock reading closes each phase and opens the next, so the
+		// timers cost a few readings per batch, not two per input, and
+		// nothing between selection and feedback falls outside a phase.
+		tStep := time.Now()
+		dSelect := tStep.Sub(tSelect)
 		if !ok {
+			phases.Select += dSelect
+			po.observe(phSelect, dSelect)
 			endBatch(bRef, -1, 0, prevPhases)
 			break // pool exhausted
 		}
@@ -339,12 +343,13 @@ loop:
 		// still trains and evaluates normally (see TestPartialBatch).
 		batchStart := steps
 		outs, errs := outBuf[:len(idxs)], errBuf[:len(idxs)]
-		tStep := time.Now()
 		exec.ExecuteBatch(stepCtx, steps+1, idxs, outs, errs)
-		batchWall := time.Since(tStep)
+		tTrain := time.Now()
+		batchWall := tTrain.Sub(tStep)
 
-		// Pass 1 — account and train, in input order. Failures quarantine
-		// exactly as before: an executor error (dead worker past the
+		// Pass 1 — account and train, in input order (passes 1 and 2 are
+		// timed together as Train). Failures quarantine exactly as
+		// before: an executor error (dead worker past the
 		// transport's retries) or a read error charges no cost and
 		// quarantines by store index; a feature-code panic quarantines by
 		// input ID. Delta-based rewards bracket the whole batch with one
@@ -412,7 +417,6 @@ loop:
 				if out.Res.Useful {
 					res.Useful++
 				}
-				tTrain := time.Now()
 				if deltaBased && !bracketed {
 					before = rewardHold.Quality(model)
 					bracketed = true
@@ -424,9 +428,6 @@ loop:
 				if out.Res.Useful {
 					rewards[j] = 1
 				}
-				dTrain := time.Since(tTrain)
-				phases.Train += dTrain
-				po.observe(phTrain, dTrain)
 				if !e.cfg.EvalIncremental {
 					if fromScratch {
 						collected = append(collected, out.Res.Example)
@@ -449,12 +450,8 @@ loop:
 		// Pass 2 — close the delta-reward bracket: one "after" measurement
 		// for the whole batch; every produced input shares the batch delta.
 		if bracketed {
-			tTrain := time.Now()
 			after := rewardHold.Quality(model)
 			delta := clamp01((after - before) * e.cfg.RewardScale)
-			dTrain := time.Since(tTrain)
-			phases.Train += dTrain
-			po.observe(phTrain, dTrain)
 			for j := range idxs {
 				if errs[j] == nil && outs[j].Res.Produced {
 					if e.cfg.Reward == RewardQualityDelta {
@@ -466,11 +463,21 @@ loop:
 			}
 		}
 
-		// Pass 3 — credit the arm once per input and emit the step events,
-		// in input order.
+		tFeedback := time.Now()
+		dTrain := tFeedback.Sub(tTrain)
+		phases.Train += dTrain
+		po.observe(phTrain, dTrain)
+
+		// Pass 3 — credit the arm once per input, timed as Select, then
+		// emit the step events, both in input order.
+		for j := range idxs {
+			src.feedback(arm, rewards[j])
+		}
+		dSelect += time.Since(tFeedback)
+		phases.Select += dSelect
+		po.observe(phSelect, dSelect)
 		for j, idx := range idxs {
 			out := &outs[j]
-			src.feedback(arm, rewards[j])
 			emit(trace.Event{
 				Step: batchStart + 1 + j, InputIdx: idx, Arm: arm, Reward: rewards[j],
 				Produced: out.Res.Produced, Useful: out.Res.Useful, Err: errMsgs[j],

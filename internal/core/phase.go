@@ -10,8 +10,8 @@ import (
 // phases. The seven primary phases are disjoint — each loop instruction is
 // timed into at most one — so Accounted() is a true lower bound on the
 // run's wall time and Coverage() measures how much of the run the
-// breakdown explains (the remainder is loop bookkeeping: plateau
-// detection, curve recording, trace appends, and the timers themselves).
+// breakdown explains (the remainder is run set-up and loop bookkeeping:
+// plateau detection, curve recording and trace appends).
 //
 // CacheLookup is the exception: it is the extraction cache's own
 // overhead (key hashing, shard locking, decode) and is a subset of
@@ -30,7 +30,8 @@ type PhaseBreakdown struct {
 	// traffic included.
 	Extract time.Duration `json:"extract"`
 	// Train is model updates plus reward computation (for delta rewards,
-	// the bracketing subsample evaluations).
+	// the bracketing subsample evaluations), with the per-input accounting
+	// between them: one timer spans a batch's whole training pass.
 	Train time.Duration `json:"train"`
 	// Eval is full-holdout quality evaluation at curve points.
 	Eval time.Duration `json:"eval"`

@@ -57,6 +57,7 @@ func newBanditSource(groups *index.Groups, pool []bool, spec bandit.Spec,
 	members := make([][]int, groups.K())
 	total := 0
 	for g, ms := range groups.Members {
+		members[g] = make([]int, 0, len(ms))
 		for _, idx := range ms {
 			if pool[idx] {
 				members[g] = append(members[g], idx)

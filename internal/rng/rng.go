@@ -26,10 +26,31 @@ type RNG struct {
 }
 
 // New returns an RNG seeded with seed. Two RNGs built from the same seed
-// produce identical sequences.
+// produce identical sequences. The underlying source is seeded on the
+// first draw, so a stream that is only Split costs no seeding.
 func New(seed int64) *RNG {
-	return &RNG{Rand: rand.New(rand.NewSource(seed)), seed: seed}
+	return &RNG{Rand: rand.New(&lazySource{seed: seed}), seed: seed}
 }
+
+// lazySource is math/rand's source, seeded on first use. Seeding it
+// takes about 15 µs and 5 KB, and an engine run builds several streams
+// whose only use is to derive others with Split. The draws are those of
+// rand.NewSource(seed).
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) source() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64    { return s.source().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.source().Uint64() }
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // Seed returns the seed this RNG was created with. Substreams report the
 // derived seed, not the parent's.

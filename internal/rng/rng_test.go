@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -12,6 +13,36 @@ func TestDeterminism(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		if a.Float64() != b.Float64() {
 			t.Fatalf("same-seed RNGs diverged at draw %d", i)
+		}
+	}
+}
+
+// TestNewDrawsMathRandSequence: seeding on first draw must not move a
+// single draw — every committed curve depends on these sequences.
+func TestNewDrawsMathRandSequence(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
+		got, want := New(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 200; i++ {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d Int63 draw %d: %d, want %d", seed, i, g, w)
+			}
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d Uint64 draw %d: %d, want %d", seed, i, g, w)
+			}
+			if g, w := got.NormFloat64(), want.NormFloat64(); g != w {
+				t.Fatalf("seed %d NormFloat64 draw %d: %v, want %v", seed, i, g, w)
+			}
+		}
+		gp, wp := got.Perm(50), want.Perm(50)
+		for i := range wp {
+			if gp[i] != wp[i] {
+				t.Fatalf("seed %d Perm differs at %d: %v vs %v", seed, i, gp, wp)
+			}
+		}
+		got.Rand.Seed(seed + 1)
+		want.Seed(seed + 1)
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("seed %d after reseed: %d, want %d", seed, g, w)
 		}
 	}
 }
